@@ -80,6 +80,11 @@ func main() {
 		fatal(err)
 	}
 
+	// The handler is installed before the listener opens, so a SIGTERM
+	// that arrives as soon as "serving on" is printed still drains.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+
 	srv := serve.New(serve.Config{Engine: eng, Store: store, Progress: prog, MaxInFlight: *maxInFlight})
 	obsSrv, err := obs.Serve(*addr, func() obs.Snapshot {
 		ps := prog.Snapshot()
@@ -99,8 +104,6 @@ func main() {
 	obsSrv.SetHealth(srv.Health)
 	fmt.Fprintf(os.Stderr, "cgserve: serving on http://%s (store %s)\n", obsSrv.Addr(), dir)
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	<-sig
 	fmt.Fprintln(os.Stderr, "cgserve: draining (in-flight sweeps run to completion; repeat to force exit)")
 	go func() {

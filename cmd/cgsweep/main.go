@@ -29,10 +29,13 @@
 // touching the deterministic stdout stream. Each completed figure also
 // prints an elapsed-time and cells-per-second line to stderr.
 //
-// With -store, a killed sweep (power cut, OOM kill, ^C) is restarted
-// with the same command line and completes from where it died: cells
-// already on disk are served from the store (the stderr summary counts
-// them) and only the missing ones recompute.
+// A sweep computes each distinct cell once: figures that share cells
+// (4.5 reuses 4.1's cg column, 4.9 is 4.4's size-100 run) take them from
+// the sweep's in-memory cell cache. The closing stderr summary counts
+// reused and computed cells. With -store the cache is backed by disk,
+// so a killed sweep (power cut, OOM kill, ^C) is restarted with the
+// same command line and completes from where it died: cells already on
+// disk are reused and only the missing ones recompute.
 //
 // With -procs N the coordinator spawns N cgworker children — found via
 // -worker, next to the cgsweep binary, or on $PATH — each hosting its
@@ -155,16 +158,16 @@ func main() {
 		backend = results.Local{Eng: eng, Obs: prog}
 	}
 
-	var resuming *results.Resuming
+	// Every sweep computes each distinct cell once: figures share cells,
+	// and the Resuming layer remembers them for the rest of the sweep.
+	// -store only adds the disk behind it.
+	resuming := &results.Resuming{Next: backend, Obs: prog}
 	if *storeDir != "" {
-		store, err := results.Open(*storeDir)
-		if err != nil {
+		if resuming.Store, err = results.Open(*storeDir); err != nil {
 			fatal(err)
 		}
-		resuming = &results.Resuming{Store: store, Next: backend, Obs: prog}
-		backend = resuming
 	}
-	backend = results.Observed{Next: backend, Obs: prog}
+	backend = results.Observed{Next: resuming, Obs: prog}
 
 	if *debugAddr != "" {
 		srv, err := obs.Serve(*debugAddr, func() obs.Snapshot {
@@ -200,10 +203,8 @@ func main() {
 	if err := experiments.SweepProgress(backend, figs, os.Stdout, report); err != nil {
 		fatal(err)
 	}
-	if resuming != nil {
-		stored, computed := resuming.Stats()
-		fmt.Fprintf(os.Stderr, "cgsweep: %d cells from store, %d computed\n", stored, computed)
-	}
+	reused, computed := resuming.Stats()
+	fmt.Fprintf(os.Stderr, "cgsweep: %d cells reused, %d computed\n", reused, computed)
 }
 
 // workerBinary resolves the cgworker executable: an explicit -worker

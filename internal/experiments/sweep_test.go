@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -88,6 +89,40 @@ func TestSweepResume(t *testing.T) {
 	}
 	if procsOut != coldOut {
 		t.Fatal("distributed resume output diverged")
+	}
+
+	// Without a store, the sweep's memory layer still computes each
+	// distinct cell once: the 104-cell grid has 40 distinct cells, and
+	// the progress counters partition every emitted cell.
+	all, err := experiments.DemographicFigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &obs.Progress{}
+	mem := &results.Resuming{Next: results.Local{Eng: engine.New(4), Obs: prog}, Obs: prog}
+	var memOut bytes.Buffer
+	if err := experiments.SweepProgress(results.Observed{Next: mem, Obs: prog}, all, &memOut, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s, c := mem.Stats(); s != 64 || c != 40 {
+		t.Fatalf("store-less grid: stored=%d computed=%d, want 64/40", s, c)
+	}
+	if p := prog.Snapshot(); p.CellsTotal != 104 || p.CellsStored != 64 || p.CellsComputed != 40 {
+		t.Fatalf("store-less grid progress: total=%d stored=%d computed=%d, want 104/64/40",
+			p.CellsTotal, p.CellsStored, p.CellsComputed)
+	}
+	// The store-backed grid over the trio's store computes only the 16
+	// cells the trio lacks and renders the same bytes.
+	grid := &results.Resuming{Store: st, Next: results.Local{Eng: engine.New(4)}}
+	var gridOut bytes.Buffer
+	if err := experiments.Sweep(grid, all, &gridOut); err != nil {
+		t.Fatal(err)
+	}
+	if _, c := grid.Stats(); c != 16 {
+		t.Fatalf("store-backed grid computed %d cells, want 16", c)
+	}
+	if memOut.String() != gridOut.String() {
+		t.Fatal("store-less grid output diverged from the store-backed grid")
 	}
 }
 

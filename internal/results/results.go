@@ -16,8 +16,9 @@
 //     cell.
 //   - Backend abstracts who computes the cells: Local runs them on an
 //     in-process engine pool; internal/dist's Coordinator fans them out
-//     to worker processes; Resuming wraps either with a Store. All
-//     three emit outcomes in strict index order, which is the whole
+//     to worker processes; Resuming wraps either with a per-sweep cell
+//     cache (in memory, optionally backed by a Store), so each distinct
+//     cell is computed once per sweep. All three emit outcomes in strict index order, which is the whole
 //     determinism argument — rendering consumes an index-ordered
 //     stream and never sees completion order.
 package results

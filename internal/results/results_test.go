@@ -331,3 +331,94 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 		t.Fatalf("partial resume: stored=%d computed=%d, want %d/1", s, c, len(jobs)-1)
 	}
 }
+
+// countingBackend computes fake cells, recording every job it is asked
+// to compute; jobs whose workload is in fail come back failed.
+type countingBackend struct {
+	calls []engine.Job
+	fail  map[string]bool
+}
+
+func (c *countingBackend) Run(jobs []engine.Job, emit func(int, Outcome)) error {
+	for i, job := range jobs {
+		c.calls = append(c.calls, job)
+		o := Outcome{Job: job, Payload: Payload{Kind: "none"}}
+		if c.fail[job.Workload] {
+			o.Err = "boom"
+		}
+		emit(i, o)
+	}
+	return nil
+}
+
+func TestResumingMemoryDedupsWithoutStore(t *testing.T) {
+	a := engine.Job{Workload: "compress", Size: 1, Collector: "none"}
+	b := engine.Job{Workload: "db", Size: 1, Collector: "none"}
+	aliasA := a
+	aliasA.Repeats = 1 // same key as a
+	inner := &countingBackend{}
+	r := &Resuming{Next: inner}
+	run := func(jobs ...engine.Job) []Outcome {
+		t.Helper()
+		var got []Outcome
+		if err := r.Run(jobs, func(i int, o Outcome) {
+			if i != len(got) {
+				t.Fatalf("emit index %d out of order (have %d)", i, len(got))
+			}
+			got = append(got, o)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(jobs) {
+			t.Fatalf("emitted %d outcomes for %d jobs", len(got), len(jobs))
+		}
+		return got
+	}
+
+	got := run(a, b, aliasA, a, b)
+	if len(inner.calls) != 2 || inner.calls[0] != a || inner.calls[1] != b {
+		t.Fatalf("inner computed %v, want one call per key [a b]", inner.calls)
+	}
+	for i, want := range []string{"compress", "db", "compress", "compress", "db"} {
+		if got[i].Job.Workload != want {
+			t.Fatalf("index %d emitted %s, want %s", i, got[i].Job.Workload, want)
+		}
+	}
+	if s, c := r.Stats(); s != 3 || c != 2 {
+		t.Fatalf("stored=%d computed=%d, want 3/2", s, c)
+	}
+
+	// A later batch on the same backend reuses remembered cells.
+	run(b, a)
+	if len(inner.calls) != 2 {
+		t.Fatalf("second batch recomputed remembered cells: %v", inner.calls)
+	}
+	if s, c := r.Stats(); s != 5 || c != 2 {
+		t.Fatalf("stored=%d computed=%d, want 5/2", s, c)
+	}
+}
+
+func TestResumingRecomputesFailedCells(t *testing.T) {
+	bad := engine.Job{Workload: "jess", Size: 1, Collector: "none"}
+	good := engine.Job{Workload: "db", Size: 1, Collector: "none"}
+	inner := &countingBackend{fail: map[string]bool{"jess": true}}
+	r := &Resuming{Next: inner}
+	for batch := 1; batch <= 2; batch++ {
+		var errs []string
+		if err := r.Run([]engine.Job{bad, good, bad}, func(_ int, o Outcome) {
+			errs = append(errs, o.Err)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(errs) != 3 || errs[0] == "" || errs[1] != "" || errs[2] == "" {
+			t.Fatalf("batch %d emitted errors %q, want the failure at both of its indices", batch, errs)
+		}
+		// The failed cell is computed once per batch; the good one once.
+		if want := batch + 1; len(inner.calls) != want {
+			t.Fatalf("after batch %d inner computed %d cells, want %d", batch, len(inner.calls), want)
+		}
+	}
+	if inner.calls[2] != bad {
+		t.Fatalf("second batch computed %+v, want the failed cell", inner.calls[2])
+	}
+}

@@ -182,52 +182,94 @@ func (s *Store) Len() (int, error) {
 	return n, nil
 }
 
-// Resuming wraps a Backend with a Store: cells already on disk are
-// emitted without recomputation, the rest run on the inner backend and
-// are stored as they complete. Emission stays in strict index order
-// across both sources, so a resumed sweep renders byte-identically to a
-// cold one.
+// Resuming wraps a Backend with a per-sweep cell cache: an in-process
+// map from Key to Outcome, backed by an optional Store. Cells already
+// in memory or on disk are emitted without recomputation; identical
+// jobs within one batch are computed once and emitted at each of their
+// indices; the rest run on the inner backend, and every successful
+// outcome is remembered (and stored, with a Store) as it completes.
+// Emission stays in strict index order across all sources, so a
+// deduplicated or resumed sweep renders byte-identically to a cold one.
+//
+// The memory layer belongs to this value — one sweep — not to the
+// Store, so a new Resuming over the same Store sees only what is on
+// disk. Failed outcomes are neither remembered nor stored, and the next
+// batch recomputes them. Run is not safe for concurrent use.
 type Resuming struct {
+	// Store persists cells across processes; nil means memory only.
 	Store *Store
 	Next  Backend
-	// Obs, when non-nil, counts store hits for a live debug surface
-	// (computed cells are counted by the inner backend).
+	// Obs, when non-nil, counts reused cells — memory and store hits
+	// alike — for a live debug surface (computed cells are counted by
+	// the inner backend).
 	Obs *obs.Progress
 
+	mem              map[string]Outcome
 	stored, computed int
 }
 
-// Stats reports how many cells Runs on this backend have served from
-// the store and how many they computed, cumulatively — a sweep calls
-// Run once per figure, and cells stored by an earlier figure count as
-// stored when a later figure reuses them (cross-figure dedup is part
-// of what the store buys).
+// Stats reports how many cells Runs on this backend have reused (from
+// memory or the store) and how many they computed, cumulatively — a
+// sweep calls Run once per figure, and cells computed by an earlier
+// figure count as reused when a later figure needs them again.
 func (r *Resuming) Stats() (stored, computed int) { return r.stored, r.computed }
+
+// lookup returns the remembered or stored outcome of job. Unkeyable
+// jobs (an unknown workload or spec) and unreadable store cells (a torn
+// write from a killed sweep) read as misses and recompute.
+func (r *Resuming) lookup(key string, job engine.Job) (Outcome, bool) {
+	if o, ok := r.mem[key]; ok {
+		return o, true
+	}
+	if r.Store == nil {
+		return Outcome{}, false
+	}
+	o, ok, err := r.Store.Get(job)
+	if err != nil || !ok {
+		return Outcome{}, false
+	}
+	r.mem[key] = o
+	return o, true
+}
 
 // Run implements Backend.
 func (r *Resuming) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
+	if r.mem == nil {
+		r.mem = make(map[string]Outcome)
+	}
 	outs := make([]Outcome, len(jobs))
 	have := make([]bool, len(jobs))
-	var missing []int
+	// sub is the inner batch: one job per missing key, or per unkeyable
+	// job (key ""); dups[mi] lists the global indices sub[mi] is emitted
+	// at, first occurrence first.
+	var sub []engine.Job
+	var keys []string
+	var dups [][]int
+	first := make(map[string]int)
 	for i, job := range jobs {
-		o, ok, err := r.Store.Get(job)
-		if err != nil {
-			// Unreadable cells (torn write from a killed sweep) recompute.
-			ok = false
+		key, err := Key(job)
+		if err == nil {
+			if o, ok := r.lookup(key, job); ok {
+				outs[i], have[i] = o, true
+				r.stored++
+				r.Obs.AddStored(1)
+				continue
+			}
+			if mi, ok := first[key]; ok {
+				dups[mi] = append(dups[mi], i)
+				continue
+			}
+			first[key] = len(sub)
 		}
-		if ok {
-			outs[i], have[i] = o, true
-			r.stored++
-			r.Obs.AddStored(1)
-		} else {
-			missing = append(missing, i)
-		}
+		sub = append(sub, job)
+		keys = append(keys, key)
+		dups = append(dups, []int{i})
 	}
 
 	// Emit the in-order prefix that is already satisfied, then interleave
 	// inner completions: the inner backend emits its sub-batch in its own
-	// index order, which maps monotonically onto ours, so the merged
-	// emission is in global index order.
+	// index order, and each sub-job's first index maps monotonically onto
+	// ours, so the merged emission is in global index order.
 	next := 0
 	flush := func() {
 		for next < len(jobs) && have[next] {
@@ -236,22 +278,28 @@ func (r *Resuming) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 		}
 	}
 	flush()
-	if len(missing) == 0 {
+	if len(sub) == 0 {
 		return nil
 	}
 
-	sub := make([]engine.Job, len(missing))
-	for mi, gi := range missing {
-		sub[mi] = jobs[gi]
-	}
 	var putErr error
 	err := r.Next.Run(sub, func(mi int, o Outcome) {
-		gi := missing[mi]
-		if err := r.Store.Put(o); err != nil && putErr == nil {
-			putErr = err
-		}
-		outs[gi], have[gi] = o, true
 		r.computed++
+		if o.Err == "" && keys[mi] != "" {
+			r.mem[keys[mi]] = o
+		}
+		if r.Store != nil {
+			if err := r.Store.Put(o); err != nil && putErr == nil {
+				putErr = err
+			}
+		}
+		for k, gi := range dups[mi] {
+			if k > 0 {
+				r.stored++
+				r.Obs.AddStored(1)
+			}
+			outs[gi], have[gi] = o, true
+		}
 		flush()
 	})
 	if err != nil {
