@@ -115,7 +115,7 @@ func main() {
 	// state).
 	reports := make([]report, len(specs))
 	eng := engine.New(*workers)
-	// Shards are built directly (not via engine.Exec), so the trace
+	// Shards are built directly (not via engine.ExecRelease), so the trace
 	// configuration — including the engine's occupancy-saturation
 	// decision — is applied here for collectors that take one.
 	traceCfg.OccupancySaturated = eng.Trace().OccupancySaturated

@@ -203,6 +203,7 @@ func poisonSpawner(poison int) Spawner {
 		jobR, jobW := io.Pipe()
 		resR, resW := io.Pipe()
 		go func() {
+			eng := engine.New(1)
 			enc := json.NewEncoder(resW)
 			enc.Encode(response{Type: "hello", Proto: protoVersion, Capacity: 1})
 			dec := json.NewDecoder(jobR)
@@ -217,7 +218,8 @@ func poisonSpawner(poison int) Spawner {
 					jobR.Close()
 					return
 				}
-				o := results.Extract(engine.Exec(req.Job))
+				var o results.Outcome
+				eng.ExecRelease(req.Job, func(r engine.Result) { o = results.Extract(r) })
 				enc.Encode(response{Type: "result", ID: req.ID, Outcome: &o})
 			}
 		}()

@@ -6,12 +6,6 @@ import (
 	"strings"
 )
 
-// The admission throttle behind SetMaxHeapBytes lives in heap.Reserve: a
-// process-wide byte reserve that every shard arena is drawn against in
-// full before its job runs. See SetMaxHeapBytes for the engine-side
-// wiring (pooled shards retain their reservations; eviction surrenders
-// them under pressure).
-
 // ParseByteSize parses a human byte count for -max-heap-bytes style
 // flags: a plain integer is bytes; KiB/MiB/GiB (or K/M/G) suffixes
 // scale by powers of 1024. "0" means unlimited.

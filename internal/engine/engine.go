@@ -116,37 +116,35 @@ func ArenaBytes(job Job) (int, error) {
 	}
 }
 
-// Exec runs one job synchronously in the caller's goroutine. It is the
-// unit of work Engine.Run distributes; callers with their own
-// per-benchmark control flow (probe runs, budget retry loops) may call
-// it directly. Package-level Exec ignores any engine memory cap, trace
-// configuration and tape cache; use Engine.Exec for throttled,
-// configured admission.
-func Exec(job Job) Result { return exec(job, nil, nil, nil, nil) }
-
 // traceConfigurer is what a collector must implement for the engine to
 // hand it the per-engine trace configuration; *msa.System does.
 type traceConfigurer interface {
 	SetTraceConfig(msa.TraceConfig)
 }
 
-// exec is the shared job body. With a non-nil rt it starts from that
-// Reset pooled shard (whose arena size must match the job's budget); it
-// never returns shards to the pool itself — the caller does, once the
-// Result can no longer escape (see ExecRelease). A non-nil trace is
-// applied to collectors that accept one before the shard attaches.
+// exec is ExecRelease's job body, run on an admitted cell: it starts
+// from the cell's Reset pooled shard when there is one (its arena is
+// the job's bytes) and never retires the shard itself. The engine's
+// trace configuration is applied to collectors that accept one before
+// the shard attaches.
 //
-// A non-nil tc consults the event-tape cache: a hit replays the row's
-// recorded operation stream through the runtime instead of re-running
-// driver logic (bit-identical results, no driver overhead); a miss may
-// claim the row's recording slot and capture the tape as a side effect
-// of the first repeat. p counts those outcomes on the debug surface.
-func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs.Progress) (res Result) {
+// A cell with a cached tape replays the row's recorded operation stream
+// through the runtime instead of re-running driver logic (bit-identical
+// results, no driver overhead); a cell holding the row's recording
+// claim captures the tape as a side effect of its first repeat.
+func (e *Engine) exec(job Job, bytes int, c cell) (res Result) {
 	res.Job = job
+	key := tapeKey{workload: job.Workload, size: job.Size}
+	recording := c.record
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("engine: %s/%d under %s panicked: %v",
 				job.Workload, job.Size, job.Collector, r)
+		}
+		// The claim must not leak if this run dies before publish
+		// (bad spec, workload panic, OOM).
+		if recording {
+			e.ledger.abortRecord(key)
 		}
 	}()
 
@@ -160,36 +158,17 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 		res.Err = err
 		return res
 	}
-	bytes, err := ArenaBytes(job)
-	if err != nil {
-		res.Err = err
-		return res
-	}
 	reps := job.Repeats
 	if reps < 1 {
 		reps = 1
 	}
 
-	key := tapeKey{workload: job.Workload, size: job.Size}
 	var rp *tape.Replayer
-	recording := false
-	if tc != nil {
-		if t, ok := tc.lookup(key); ok {
-			rp = tape.NewReplayer(t)
-		} else if tc.beginRecord(key) {
-			recording = true
-			// The claim must not leak if this run dies before publish
-			// (workload panic, OOM): the recover above eats the panic,
-			// so release here, where publish has already flipped the
-			// flag on the success path.
-			defer func() {
-				if recording {
-					tc.abortRecord(key)
-				}
-			}()
-		}
+	if c.tape != nil {
+		rp = tape.NewReplayer(c.tape)
 	}
-
+	p := e.progress
+	rt := c.rt
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		// The forced-collection instrumentation is a declarative field
@@ -197,10 +176,8 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 		// old post-construction SetGCEvery call.
 		ev := factory()
 		ev.GCEvery = job.GCEvery
-		if trace != nil {
-			if c, ok := ev.Collector.(traceConfigurer); ok {
-				c.SetTraceConfig(*trace)
-			}
+		if col, ok := ev.Collector.(traceConfigurer); ok {
+			col.SetTraceConfig(e.trace)
 		}
 		if rt == nil {
 			rt = vm.New(heap.New(bytes), ev)
@@ -229,7 +206,7 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 				// full recording: publish now and replay the remaining
 				// repeats from it — they share the one tape.
 				t := rec.Finish()
-				tc.publish(key, t)
+				e.ledger.publish(key, t)
 				recording = false
 				p.TapeRecorded()
 				if i+1 < reps {
@@ -246,17 +223,15 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 	return res
 }
 
-// Engine is a fixed-size worker pool with an optional aggregate memory
-// cap and a shard pool that recycles runtimes between cells of equal
-// arena size. The zero value is not usable; construct with New. An
-// Engine holds no per-run state beyond the shard pool and is safe for
-// concurrent use.
+// Engine is a fixed-size worker pool with one admission ledger: an
+// optional aggregate memory cap, a shard pool that recycles runtimes
+// between cells of equal arena size, and the event-tape cache. The zero
+// value is not usable; construct with New. An Engine holds no per-run
+// state beyond the ledger and is safe for concurrent use.
 type Engine struct {
 	workers  int
 	trace    msa.TraceConfig // per-engine collector trace settings
-	reserve  *heap.Reserve   // nil when uncapped
-	pool     *shardPool
-	tapes    *tapeCache    // nil when the tape cache is disabled
+	ledger   ledger
 	progress *obs.Progress // nil unless a debug surface is watching
 }
 
@@ -279,7 +254,8 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, pool: newShardPool(workers), tapes: newTapeCache()}
+	e := &Engine{workers: workers}
+	e.ledger.init(workers)
 	if workers >= runtime.GOMAXPROCS(0) {
 		e.trace.OccupancySaturated = true
 		occupancyOnce.Do(func() {
@@ -315,88 +291,6 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 	return e
 }
 
-// SetMaxHeapBytes caps the aggregate arena bytes of concurrently
-// resident shards (n <= 0 removes the cap) and returns e for chaining.
-// The cap is an exact admission check against a process-wide byte
-// reserve: every shard's full arena is acquired from the reserve before
-// its job runs, and a shard — running or pooled — keeps its reservation
-// until it is dropped. Resident arena bytes therefore never exceed the
-// cap, pooled idle shards included; under pressure the reserve evicts
-// pooled shards (largest arena first) before blocking admission. A
-// single job larger than the cap is admitted alone rather than
-// deadlocking: the cap throttles aggregate pressure, it is not a
-// per-job limit. Set before submitting work (changing the cap drains
-// the shard pool, since pooled shards carry the old regime's
-// reservations); the cap does not apply to the generic Do, which has no
-// job to charge.
-func (e *Engine) SetMaxHeapBytes(n int64) *Engine {
-	e.pool.drain()
-	if n <= 0 {
-		e.reserve = nil
-		if e.tapes != nil {
-			e.tapes.setReserve(nil)
-		}
-		return e
-	}
-	r := heap.NewReserve(n)
-	pool := e.pool
-	r.SetEvict(func() bool {
-		if bytes, ok := pool.evictOne(); ok {
-			r.Release(int64(bytes))
-			return true
-		}
-		return false
-	})
-	e.reserve = r
-	if e.tapes != nil {
-		// Cached tapes carry charges against the old regime's reserve;
-		// rebinding clears them.
-		e.tapes.setReserve(r)
-	}
-	return e
-}
-
-// MaxHeapBytes reports the aggregate cap (0 = uncapped).
-func (e *Engine) MaxHeapBytes() int64 {
-	if e.reserve == nil {
-		return 0
-	}
-	return e.reserve.Max()
-}
-
-// ReservedBytes reports the arena bytes currently drawn from the cap's
-// reserve by running and pooled shards (0 when uncapped).
-func (e *Engine) ReservedBytes() int64 {
-	if e.reserve == nil {
-		return 0
-	}
-	return e.reserve.Reserved()
-}
-
-// Exec runs one job in the caller's goroutine, first acquiring the
-// job's arena bytes from the engine's reserve (blocking, after evicting
-// pooled shards, while admission would push aggregate arena bytes over
-// the cap). This is the admission-controlled entry the distribution
-// worker uses for jobs that arrive one at a time rather than as a
-// batch.
-func (e *Engine) Exec(job Job) Result {
-	reserve := e.reserve
-	if reserve == nil {
-		r := exec(job, nil, &e.trace, e.tapes, e.progress)
-		e.laneDone(job)
-		return r
-	}
-	bytes, err := ArenaBytes(job)
-	if err != nil {
-		return Result{Job: job, Err: err}
-	}
-	reserve.Acquire(int64(bytes))
-	defer reserve.Release(int64(bytes))
-	r := exec(job, nil, &e.trace, e.tapes, e.progress)
-	e.laneDone(job)
-	return r
-}
-
 // laneDone credits a completed execution to the job's client lane (a
 // no-op for untagged jobs and unobserved engines) — the engine-side
 // half of the sweep server's fairness accounting: lanes count what the
@@ -408,37 +302,31 @@ func (e *Engine) laneDone(job Job) {
 }
 
 // ExecRelease runs one job with admission control, hands the result to
-// consume, and then recycles the job's runtime shard into the engine's
+// consume, and then retires the job's runtime shard into the engine's
 // pool — so a sweep of equal-arena cells stops paying per-cell heap and
-// runtime construction. The Result, its RT and its Col are only valid
-// until consume returns: extract what the merge needs, drop the rest.
-// A shard that panicked mid-run is discarded, never recycled.
+// runtime construction. It is the engine's one execution primitive. The
+// Result, its RT and its Col are only valid until consume returns:
+// extract what the merge needs, drop the rest. A shard that errored or
+// panicked mid-run is discarded, never recycled.
 //
-// Under a memory cap, reservations travel with shards: a fresh shard
-// acquires its arena bytes before construction, a pooled shard arrives
-// already holding them, and whichever shard is retained in the pool
-// afterwards keeps them (the reserve's evict hook reclaims pooled
-// reservations when admission stalls). Dropped shards release theirs
-// immediately.
+// Admission charges the job's full arena to the ledger before the cell
+// runs: a pooled shard of that size arrives already charged; otherwise
+// the bytes are reserved, evicting idle shards and tapes or waiting
+// while they would push resident bytes over the cap (see ledger).
 func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
 		return
 	}
-	reserve := e.reserve
-	rt := e.pool.get(bytes)
-	if rt == nil && reserve != nil {
-		reserve.Acquire(int64(bytes))
-	}
-	r := exec(job, rt, &e.trace, e.tapes, e.progress)
+	var keep *vm.Runtime
+	c := e.ledger.admit(bytes, tapeKey{workload: job.Workload, size: job.Size})
+	defer func() { e.ledger.retire(bytes, keep) }()
+	r := e.exec(job, bytes, c)
 	e.laneDone(job)
 	consume(r)
-	if r.Err == nil && r.RT != nil && e.pool.put(bytes, r.RT) {
-		return // the pooled shard keeps its reservation
-	}
-	if reserve != nil {
-		reserve.Release(int64(bytes))
+	if r.Err == nil {
+		keep = r.RT
 	}
 }
 
@@ -484,20 +372,6 @@ func (e *Engine) Do(n int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// Run executes jobs concurrently and returns their results in
-// submission order: results[i] is the outcome of jobs[i] regardless of
-// completion order. Every Result retains its shard's full runtime until
-// the caller drops it, so the peak footprint is all cells at once; for
-// matrices of big-heap shards prefer RunEach and extract only what the
-// merge needs.
-func (e *Engine) Run(jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	e.Do(len(jobs), func(i int) {
-		results[i] = e.Exec(jobs[i])
-	})
-	return results
 }
 
 // RunEach executes jobs concurrently, invoking consume(i, result) on

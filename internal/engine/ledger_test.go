@@ -20,10 +20,10 @@ func TestExecReleaseRecyclesShards(t *testing.T) {
 		}
 		first = r.Col.(*core.CG)
 	})
-	if got := eng.pool.count; got != 1 {
+	if got := eng.ledger.idleCount; got != 1 {
 		t.Fatalf("pool holds %d shards after one release, want 1", got)
 	}
-	var rt1 = eng.pool.bySize[1<<24][0]
+	var rt1 = eng.ledger.idle[1<<24][0]
 	eng.ExecRelease(job, func(r Result) {
 		if r.RT != rt1 {
 			t.Fatal("equal-arena cell did not reuse the pooled shard")
@@ -43,12 +43,12 @@ func TestExecReleaseRecyclesShards(t *testing.T) {
 }
 
 // TestMemoryCapRetainsPooling pins the cap/pool interaction: pooled
-// idle shards keep their reservation against the engine's reserve, so
-// pooling stays on under -max-heap-bytes and ReservedBytes accounts for
-// running and pooled arenas alike. When admission stalls, the reserve
-// evicts pooled shards — largest arena first — instead of blocking.
+// idle shards keep their charge in the ledger, so pooling stays on
+// under -max-heap-bytes and ReservedBytes accounts for running and
+// pooled arenas alike. When admission stalls, the ledger evicts pooled
+// shards — largest arena first — instead of blocking.
 func TestMemoryCapRetainsPooling(t *testing.T) {
-	// Tape cache off: this test pins the reserve to exact *arena* bytes,
+	// Tape cache off: this test pins the ledger to exact *arena* bytes,
 	// and cached tapes would add their own (legitimate) charges.
 	eng := New(2).SetMaxHeapBytes(3 << 24).SetTapeCache(false) // 48 MiB
 	run := func(bytes int) {
@@ -61,12 +61,12 @@ func TestMemoryCapRetainsPooling(t *testing.T) {
 		})
 	}
 	run(1 << 24) // 16 MiB, pooled with its reservation
-	if got, want := eng.ReservedBytes(), int64(1<<24); got != want || eng.pool.count != 1 {
-		t.Fatalf("after first cell: reserved %d (want %d), pooled %d (want 1)", got, want, eng.pool.count)
+	if got, want := eng.ReservedBytes(), int64(1<<24); got != want || eng.ledger.idleCount != 1 {
+		t.Fatalf("after first cell: reserved %d (want %d), pooled %d (want 1)", got, want, eng.ledger.idleCount)
 	}
 	run(1 << 25) // 32 MiB, pooled too: reserve now exactly at the cap
-	if got, want := eng.ReservedBytes(), int64(3<<24); got != want || eng.pool.count != 2 {
-		t.Fatalf("after second cell: reserved %d (want %d), pooled %d (want 2)", got, want, eng.pool.count)
+	if got, want := eng.ReservedBytes(), int64(3<<24); got != want || eng.ledger.idleCount != 2 {
+		t.Fatalf("after second cell: reserved %d (want %d), pooled %d (want 2)", got, want, eng.ledger.idleCount)
 	}
 	// 8 MiB doesn't fit beside 48 MiB of pooled reservations; admission
 	// must evict the largest pooled shard (32 MiB) rather than block.
@@ -74,20 +74,20 @@ func TestMemoryCapRetainsPooling(t *testing.T) {
 	if got, want := eng.ReservedBytes(), int64(1<<24+1<<23); got != want {
 		t.Fatalf("after eviction: reserved %d, want %d (16 MiB + 8 MiB pooled)", got, want)
 	}
-	if eng.pool.count != 2 || len(eng.pool.bySize[1<<25]) != 0 {
+	if eng.ledger.idleCount != 2 || len(eng.ledger.idle[1<<25]) != 0 {
 		t.Fatalf("eviction kept the wrong shard: count %d, 32 MiB stack %d",
-			eng.pool.count, len(eng.pool.bySize[1<<25]))
+			eng.ledger.idleCount, len(eng.ledger.idle[1<<25]))
 	}
 	// Dropping the cap drains the pool along with its reservations.
 	eng.SetMaxHeapBytes(0)
-	if eng.pool.count != 0 || eng.ReservedBytes() != 0 {
-		t.Fatalf("uncapping left %d pooled shards, %d reserved bytes", eng.pool.count, eng.ReservedBytes())
+	if eng.ledger.idleCount != 0 || eng.ReservedBytes() != 0 {
+		t.Fatalf("uncapping left %d pooled shards, %d reserved bytes", eng.ledger.idleCount, eng.ReservedBytes())
 	}
 }
 
 // TestMemoryCapAdmissionExact is the admission-exactness property: on a
 // concurrent sweep of mixed arena sizes (each below the cap), the
-// reserve never over-admits — at every sampled instant, running plus
+// ledger never over-admits — at every sampled instant, running plus
 // pooled arena bytes stay within -max-heap-bytes — and admitted jobs
 // never fail for lack of reserve. Afterwards only pooled reservations
 // remain.
@@ -117,7 +117,7 @@ func TestMemoryCapAdmissionExact(t *testing.T) {
 		t.Fatalf("quiescent reserve holds %d bytes under a %d cap", got, int64(cap))
 	}
 	var pooled int64
-	for size, stack := range eng.pool.bySize {
+	for size, stack := range eng.ledger.idle {
 		pooled += int64(size) * int64(len(stack))
 	}
 	if got := eng.ReservedBytes(); got != pooled {

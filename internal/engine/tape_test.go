@@ -47,18 +47,16 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 	job := Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21, Repeats: 5}
 
 	tapeDriveCount.Store(0)
-	r := New(1).Exec(job)
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	if err := execErr(New(1), job); err != nil {
+		t.Fatal(err)
 	}
 	if got := tapeDriveCount.Load(); got != 1 {
 		t.Errorf("tape cache on: driver ran %d times across 5 repeats, want 1", got)
 	}
 
 	tapeDriveCount.Store(0)
-	r = New(1).SetTapeCache(false).Exec(job)
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	if err := execErr(New(1).SetTapeCache(false), job); err != nil {
+		t.Fatal(err)
 	}
 	if got := tapeDriveCount.Load(); got != 5 {
 		t.Errorf("tape cache off: driver ran %d times across 5 repeats, want 5", got)
@@ -83,11 +81,12 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 	collect := func(eng *Engine) []snap {
 		out := make([]snap, len(jobs))
 		for i, job := range jobs {
-			r := eng.Exec(job)
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			out[i] = snap{r.Col.(*core.CG).Stats(), r.RT.Heap.Stats(), r.RT.Instr()}
+			eng.ExecRelease(job, func(r Result) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				out[i] = snap{r.Col.(*core.CG).Stats(), r.RT.Heap.Stats(), r.RT.Instr()}
+			})
 		}
 		return out
 	}
@@ -107,9 +106,8 @@ func TestTapeCacheProgressCounters(t *testing.T) {
 	p := &obs.Progress{}
 	eng := New(1).SetProgress(p)
 	for _, col := range []string{"cg", "msa", "gen"} {
-		r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: col, HeapBytes: 1 << 24})
-		if r.Err != nil {
-			t.Fatal(r.Err)
+		if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: col, HeapBytes: 1 << 24}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	s := p.Snapshot()
@@ -121,16 +119,18 @@ func TestTapeCacheProgressCounters(t *testing.T) {
 	}
 }
 
-// TestTapeCacheClears pins cache invalidation: a cap change rebinds
-// the reserve (cached charges belonged to the old regime), and
-// disabling the cache drops it entirely.
+// TestTapeCacheClears pins cache invalidation: a cap change drops the
+// cached tapes along with the pool (their charges belonged to the old
+// regime), and disabling the cache drops the tapes and their charges
+// but keeps the pooled shard.
 func TestTapeCacheClears(t *testing.T) {
 	eng := New(1).SetMaxHeapBytes(1 << 26)
-	if r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); r.Err != nil {
-		t.Fatal(r.Err)
+	job := Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}
+	if err := execErr(eng, job); err != nil {
+		t.Fatal(err)
 	}
-	if eng.Tapes() != 1 {
-		t.Fatalf("expected 1 cached tape, have %d", eng.Tapes())
+	if got, want := eng.ReservedBytes(), 1<<22+cachedTapeBytes(eng); eng.Tapes() != 1 || got != want {
+		t.Fatalf("expected 1 cached tape and %d reserved bytes, have %d tapes, %d bytes", want, eng.Tapes(), got)
 	}
 	eng.SetMaxHeapBytes(1 << 27)
 	if eng.Tapes() != 0 {
@@ -140,18 +140,18 @@ func TestTapeCacheClears(t *testing.T) {
 		t.Errorf("cap change left %d reserved bytes", got)
 	}
 
-	if r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); r.Err != nil {
-		t.Fatal(r.Err)
+	if err := execErr(eng, job); err != nil {
+		t.Fatal(err)
 	}
-	before := eng.ReservedBytes()
-	if eng.Tapes() != 1 || before == 0 {
-		t.Fatalf("expected 1 cached tape holding reserve, have %d tapes, %d bytes", eng.Tapes(), before)
+	tb := cachedTapeBytes(eng)
+	if got, want := eng.ReservedBytes(), 1<<22+tb; eng.Tapes() != 1 || tb == 0 || got != want {
+		t.Fatalf("expected 1 cached tape holding reserve: have %d tapes, %d bytes, want %d", eng.Tapes(), got, want)
 	}
 	eng.SetTapeCache(false)
 	if eng.Tapes() != 0 || eng.TapeCache() {
 		t.Error("SetTapeCache(false) left the cache populated")
 	}
-	if got := eng.ReservedBytes(); got != 0 {
-		t.Errorf("disabling the cache left %d reserved bytes", got)
+	if got := eng.ReservedBytes(); got != 1<<22 {
+		t.Errorf("disabling the cache left %d reserved bytes, want the pooled shard's %d", got, 1<<22)
 	}
 }

@@ -152,15 +152,19 @@ func Fig413(eng *engine.Engine) *table.Table {
 		// Calibrate the arena from a probe run: final live bytes plus
 		// half the garbage bytes (the thesis sized its runs so the heap
 		// filled).
-		probe := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1, Collector: "cg"})
-		if probe.Err != nil {
+		var live, bytesAlloc int
+		eng.ExecRelease(engine.Job{Workload: specs[i].Name, Size: 1, Collector: "cg"}, func(r engine.Result) {
+			if errs[i] = r.Err; r.Err == nil {
+				live = r.RT.Heap.Arena().InUse()
+				bytesAlloc = int(r.RT.Heap.Stats().BytesAlloc)
+			}
+		})
+		if errs[i] != nil {
 			// Fail on the caller's goroutine, not the worker's: a panic
 			// here would kill the process instead of unwinding.
-			errs[i] = probe.Err
 			return
 		}
-		live := probe.RT.Heap.Arena().InUse()
-		garbage := int(probe.RT.Heap.Stats().BytesAlloc) - live
+		garbage := bytesAlloc - live
 		budget := live + garbage/2
 
 		// An undershot budget surfaces as a hard-OOM job error; widen
@@ -170,13 +174,15 @@ func Fig413(eng *engine.Engine) *table.Table {
 		const maxAttempts = 24
 		var lastErr error
 		for attempt := 0; attempt < maxAttempts; attempt++ {
-			r := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1,
-				Collector: "cg+recycle", HeapBytes: budget})
-			if r.Err == nil {
-				results[i] = r.Col.(*core.CG).Stats()
+			eng.ExecRelease(engine.Job{Workload: specs[i].Name, Size: 1,
+				Collector: "cg+recycle", HeapBytes: budget}, func(r engine.Result) {
+				if lastErr = r.Err; r.Err == nil {
+					results[i] = r.Col.(*core.CG).Stats()
+				}
+			})
+			if lastErr == nil {
 				return
 			}
-			lastErr = r.Err
 			budget += garbage/4 + 1<<10
 		}
 		errs[i] = lastErr

@@ -90,10 +90,7 @@ func TestOutcomeCarriesObsAndProvThroughStore(t *testing.T) {
 	}
 	job := engine.Job{Workload: "compress", Size: 1, Collector: "cg+reset",
 		HeapBytes: engine.TightHeap, GCEvery: 1000}
-	o := Extract(engine.Exec(job))
-	if o.Err != "" {
-		t.Fatal(o.Err)
-	}
+	o := exec(t, job)
 	if o.Prov == nil || o.Prov.GoVersion == "" {
 		t.Fatalf("extract did not stamp provenance: %+v", o.Prov)
 	}

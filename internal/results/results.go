@@ -201,7 +201,8 @@ type Backend interface {
 
 // Local is the in-process Backend: cells run on an engine worker pool
 // and are extracted on the worker goroutine, so a completed shard is
-// dropped immediately (RunEach footprint, not Stream's). Obs, when
+// recycled as soon as its outcome is extracted (RunEach footprint: one
+// resident shard per worker, not one per cell). Obs, when
 // non-nil, counts each computed cell for a live debug surface.
 type Local struct {
 	Eng *engine.Engine

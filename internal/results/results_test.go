@@ -15,9 +15,10 @@ import (
 
 func exec(t *testing.T, job engine.Job) Outcome {
 	t.Helper()
-	o := Extract(engine.Exec(job))
+	var o Outcome
+	engine.New(1).ExecRelease(job, func(r engine.Result) { o = Extract(r) })
 	if o.Err != "" {
-		t.Fatalf("Exec(%+v): %s", job, o.Err)
+		t.Fatalf("ExecRelease(%+v): %s", job, o.Err)
 	}
 	return o
 }

@@ -28,9 +28,9 @@ var ErrDraining = errors.New("serve: draining, not accepting new sweeps")
 //     next cell round-robin across sessions, so a 10k-cell sweep and a
 //     3-cell sweep make progress side by side;
 //   - bounded admission: at most maxInFlight executors run cells, and
-//     each execution passes through the engine's heap.Reserve byte
-//     reservation, so aggregate arena bytes stay under the cap no
-//     matter how many clients are connected.
+//     each execution passes through the engine's admission ledger, so
+//     aggregate arena bytes stay under the cap no matter how many
+//     clients are connected.
 type Scheduler struct {
 	eng    *engine.Engine
 	store  *results.Store
@@ -289,7 +289,7 @@ func (s *Scheduler) next() *task {
 
 // compute satisfies one leader task: from the shared store when the
 // cell is already on disk, else by executing it on the shared engine
-// (which throttles through its heap.Reserve) and persisting the result
+// (which throttles through its admission ledger) and persisting the result
 // before resolving — the Put-before-Resolve order is what guarantees a
 // late joiner's fresh call store-hits instead of recomputing.
 func (s *Scheduler) compute(t *task) {
