@@ -280,8 +280,10 @@ func runBenchMode(cfg benchConfig) error {
 		family = "Workload-pooled"
 	}
 	// One single-worker engine for the whole pooled family: its shard
-	// pool is what turns per-iteration construction into Reset.
-	eng := engine.New(1).SetTrace(cfg.trace)
+	// pool is what turns per-iteration construction into Reset. The tape
+	// cache is off so every timed iteration drives its workload (the
+	// -bench-tape family times record and replay).
+	eng := engine.New(1).SetTrace(cfg.trace).SetTapeCache(false)
 	report := benchfmt.NewReport(cfg.benchTime)
 	for _, spec := range wls {
 		for _, col := range strings.Split(cfg.colsCSV, ",") {
@@ -399,8 +401,9 @@ func runOverlapBenchMode(cfg benchConfig) error {
 		wls = picked
 	}
 	// One single-worker engine: the pooled Reset steady state, with the
-	// run's trace configuration (including -overlap) applied per job.
-	eng := engine.New(1).SetTrace(cfg.trace)
+	// run's trace configuration (including -overlap) applied per job,
+	// and every timed iteration driving its workload (no tape cache).
+	eng := engine.New(1).SetTrace(cfg.trace).SetTapeCache(false)
 	report := benchfmt.NewReport(cfg.benchTime)
 	for _, spec := range wls {
 		for _, col := range strings.Split(cfg.colsCSV, ",") {

@@ -83,7 +83,7 @@ func main() {
 	client := flag.String("client", "",
 		"client name reported to -server for its fairness lanes (default: host:pid)")
 	tapeOn := flag.Bool("tape", true,
-		"cache each (workload, size) row's event tape and replay it for the row's other cells, forwarded to -procs children; output is identical either way")
+		"record each (workload, size) row's event tape on its second run and replay it for the row's later cells, forwarded to -procs children; output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
@@ -204,7 +204,13 @@ func main() {
 		fatal(err)
 	}
 	reused, computed := resuming.Stats()
-	fmt.Fprintf(os.Stderr, "cgsweep: %d cells reused, %d computed\n", reused, computed)
+	tapes := ""
+	if eng != nil {
+		// -procs children keep their own engines and tape counters.
+		s := prog.Snapshot()
+		tapes = fmt.Sprintf(" (%d tapes recorded, %d replayed)", s.TapesRecorded, s.TapeReplays)
+	}
+	fmt.Fprintf(os.Stderr, "cgsweep: %d cells reused, %d computed%s\n", reused, computed, tapes)
 }
 
 // workerBinary resolves the cgworker executable: an explicit -worker

@@ -136,8 +136,8 @@ func TestEngineRunUnderMemoryCap(t *testing.T) {
 }
 
 // TestOversizedCellEvictsTightShardAndTape is the first admission
-// wedge: a tight-heap cell leaves a pooled shard and a cached tape
-// behind, and a default-arena cell larger than the cap must evict both
+// wedge: two tight-heap runs of a row leave a pooled shard and a cached
+// tape behind, and a default-arena cell larger than the cap must evict both
 // and run alone. Evicting the shard but not the tape left reserved
 // bytes that nothing could release, so the oversized escape never fired.
 func TestOversizedCellEvictsTightShardAndTape(t *testing.T) {
@@ -148,8 +148,11 @@ func TestOversizedCellEvictsTightShardAndTape(t *testing.T) {
 	}
 	tight := int64(spec.HeapBytes(1))
 	within(t, 60*time.Second, func() {
-		if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: TightHeap}); err != nil {
-			t.Error(err)
+		// The row's second run records its tape.
+		for range 2 {
+			if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: TightHeap}); err != nil {
+				t.Error(err)
+			}
 		}
 	})
 	tb := cachedTapeBytes(eng)
@@ -175,13 +178,17 @@ func TestOversizedCellEvictsTightShardAndTape(t *testing.T) {
 
 // TestCellEvictsCachedTapeToFitCap is the second admission wedge: a
 // job that fits the cap alone but not beside a cached tape must evict
-// the tape rather than wait for a release that never comes.
+// the tape rather than wait for a release that never comes. Two runs of
+// the row seed the tape.
 func TestCellEvictsCachedTapeToFitCap(t *testing.T) {
 	const cap = 64 << 20
 	eng := New(1).SetMaxHeapBytes(cap)
 	within(t, 60*time.Second, func() {
-		if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); err != nil {
-			t.Error(err)
+		// The row's second run records its tape.
+		for range 2 {
+			if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); err != nil {
+				t.Error(err)
+			}
 		}
 	})
 	tb := cachedTapeBytes(eng)

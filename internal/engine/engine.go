@@ -320,7 +320,7 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 		return
 	}
 	var keep *vm.Runtime
-	c := e.ledger.admit(bytes, tapeKey{workload: job.Workload, size: job.Size})
+	c := e.ledger.admit(bytes, tapeKey{workload: job.Workload, size: job.Size}, job.Repeats)
 	defer func() { e.ledger.retire(bytes, keep) }()
 	r := e.exec(job, bytes, c)
 	e.laneDone(job)

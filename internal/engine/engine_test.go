@@ -131,8 +131,10 @@ func TestExecRecoversShardPanic(t *testing.T) {
 	// A 1 KiB arena cannot hold any analog's live set: the shard hits a
 	// hard OOM panic, which must surface as Result.Err, not crash the
 	// matrix — and the panicked shard must never be recycled.
+	// Two repeats make the first one claim the row's recording, so the
+	// panic must also release that claim.
 	eng := New(1).SetMaxHeapBytes(1 << 20)
-	err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "msa", HeapBytes: 1 << 10})
+	err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: "msa", HeapBytes: 1 << 10, Repeats: 2})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("OOM shard reported %v, want a panic error", err)
 	}

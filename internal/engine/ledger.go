@@ -42,15 +42,20 @@ type ledger struct {
 	idleCount int
 	maxIdle   int
 
-	// One event tape per (workload, size) row. Recording is
-	// opportunistic singleflight: the first cell of a row claims the
-	// recording slot and drives the workload, recording as a side
-	// effect; concurrent cells of the row drive normally, so nobody
-	// blocks on a recording in flight. Only complete runs publish.
+	// One event tape per (workload, size) row, recorded on the row's
+	// second run: a row's first cell drives with no recorder and only
+	// joins driven, because most rows of a deduplicated sweep run once
+	// and recording adds up to 100% to a large cell's drive time
+	// (DESIGN.md §12). The next cell of the row — or the first cell itself when
+	// its own later repeats are the second run — claims the recording
+	// slot. Recording is opportunistic singleflight: concurrent cells
+	// of the row drive normally, so nobody blocks on a recording in
+	// flight. Only complete runs publish.
 	tapesOn   bool
 	tapes     map[tapeKey]cachedTape
 	tapeBytes int64
 	recording map[tapeKey]bool
+	driven    map[tapeKey]bool
 }
 
 // tapeKey identifies a recorded event stream. A tape is a pure
@@ -85,6 +90,7 @@ func (l *ledger) init(maxIdle int) {
 	l.tapesOn = true
 	l.tapes = make(map[tapeKey]cachedTape)
 	l.recording = make(map[tapeKey]bool)
+	l.driven = make(map[tapeKey]bool)
 }
 
 // used is every resident byte the ledger accounts for. Callers hold mu.
@@ -92,8 +98,10 @@ func (l *ledger) used() int64 { return l.busy + l.idleBytes + l.tapeBytes }
 
 // admit charges an n-byte arena as busy — popping a pooled shard of
 // that size, or reserving fresh bytes once they fit — and then looks up
-// the row's tape, claiming its recording slot on a miss.
-func (l *ledger) admit(n int, k tapeKey) cell {
+// the row's tape. On a miss with no recording in flight, a cell that is
+// the row's second run (the row was driven before, or the job repeats)
+// claims the recording slot; a first run only marks the row driven.
+func (l *ledger) admit(n int, k tapeKey, repeats int) cell {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := cell{rt: l.admitShard(n)}
@@ -101,8 +109,12 @@ func (l *ledger) admit(n int, k tapeKey) cell {
 		if ct, ok := l.tapes[k]; ok {
 			c.tape = ct.t
 		} else if !l.recording[k] {
-			l.recording[k] = true
-			c.record = true
+			if l.driven[k] || repeats >= 2 {
+				l.recording[k] = true
+				c.record = true
+			} else {
+				l.driven[k] = true
+			}
 		}
 	}
 	return c
@@ -259,13 +271,15 @@ func (e *Engine) ReservedBytes() int64 {
 }
 
 // SetTapeCache enables or disables the per-(workload, size) event-tape
-// cache and returns e for chaining. Enabled (the default from New),
-// the first cell of each matrix row records the driver's operation
-// stream as a side effect of running it, and every other cell of the
-// row — different collector, heap budget, gc-every or repeat — replays
-// the tape through the same runtime entry points instead of re-running
-// driver logic. Results are bit-identical either way; the cache only
-// removes redundant driver work. Disabling clears any cached tapes.
+// cache and returns e for chaining. Enabled (the default from New), a
+// matrix row's first cell drives the workload, its second run records
+// the driver's operation stream as a side effect of running it, and
+// every later cell of the row — different collector, heap budget,
+// gc-every or repeat — replays the tape through the same runtime entry
+// points instead of re-running driver logic. A job with two or more
+// repeats records on its first repeat. Results are bit-identical either
+// way; the cache only removes redundant driver work. Disabling clears
+// any cached tapes and forgets which rows have run.
 func (e *Engine) SetTapeCache(on bool) *Engine {
 	l := &e.ledger
 	l.mu.Lock()
@@ -273,6 +287,7 @@ func (e *Engine) SetTapeCache(on bool) *Engine {
 	if !on {
 		clear(l.tapes)
 		l.tapeBytes = 0
+		clear(l.driven)
 	}
 	l.mu.Unlock()
 	return e

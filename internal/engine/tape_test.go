@@ -65,8 +65,8 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 
 // TestTapeCacheBitIdentical pins the substitution property at the
 // engine surface: the same matrix row computed through the cache
-// (second cell replays) and with the cache disabled produces identical
-// collector statistics and heap state.
+// (first cell drives, second records, third replays) and with the cache
+// disabled produces identical collector statistics and heap state.
 func TestTapeCacheBitIdentical(t *testing.T) {
 	jobs := []Job{
 		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24},
@@ -100,34 +100,66 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTapeCacheProgressCounters checks the /progress accounting: one
-// recording for the row, one replay per subsequent cell.
+// TestTapeCacheProgressCounters checks the second-run policy through
+// the /progress accounting: the row's first cell drives with no
+// recorder, the second records, and the third replays.
 func TestTapeCacheProgressCounters(t *testing.T) {
 	p := &obs.Progress{}
 	eng := New(1).SetProgress(p)
-	for _, col := range []string{"cg", "msa", "gen"} {
+	want := [][2]int64{{0, 0}, {1, 0}, {1, 1}} // recorded, replays after each cell
+	for i, col := range []string{"cg", "msa", "gen"} {
 		if err := execErr(eng, Job{Workload: "compress", Size: 1, Collector: col, HeapBytes: 1 << 24}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	s := p.Snapshot()
-	if s.TapesRecorded != 1 || s.TapeReplays != 2 {
-		t.Errorf("recorded %d / replays %d, want 1 / 2", s.TapesRecorded, s.TapeReplays)
+		s := p.Snapshot()
+		if got := [2]int64{s.TapesRecorded, s.TapeReplays}; got != want[i] {
+			t.Errorf("after cell %d: recorded %d / replays %d, want %d / %d", i+1, got[0], got[1], want[i][0], want[i][1])
+		}
 	}
 	if eng.Tapes() != 1 {
 		t.Errorf("engine caches %d tapes, want 1", eng.Tapes())
 	}
 }
 
+// TestOneCellRowRecordsNothing: a row that runs once — most rows of a
+// deduplicated sweep — drives once and leaves no tape behind; the
+// recording waits for the row's second run.
+func TestOneCellRowRecordsNothing(t *testing.T) {
+	p := &obs.Progress{}
+	eng := New(1).SetProgress(p)
+	job := Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21}
+	tapeDriveCount.Store(0)
+	if err := execErr(eng, job); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Snapshot()
+	if eng.Tapes() != 0 || s.TapesRecorded != 0 || s.TapeReplays != 0 || tapeDriveCount.Load() != 1 {
+		t.Fatalf("one-cell row: %d tapes, %d recorded, %d replays, %d drives; want 0, 0, 0, 1",
+			eng.Tapes(), s.TapesRecorded, s.TapeReplays, tapeDriveCount.Load())
+	}
+	if err := execErr(eng, job); err != nil {
+		t.Fatal(err)
+	}
+	s = p.Snapshot()
+	if eng.Tapes() != 1 || s.TapesRecorded != 1 || tapeDriveCount.Load() != 2 {
+		t.Fatalf("second run: %d tapes, %d recorded, %d drives; want 1, 1, 2",
+			eng.Tapes(), s.TapesRecorded, tapeDriveCount.Load())
+	}
+}
+
 // TestTapeCacheClears pins cache invalidation: a cap change drops the
 // cached tapes along with the pool (their charges belonged to the old
-// regime), and disabling the cache drops the tapes and their charges
-// but keeps the pooled shard.
+// regime) but remembers which rows have run, and disabling the cache
+// drops the tapes, their charges and that memory but keeps the pooled
+// shard.
 func TestTapeCacheClears(t *testing.T) {
 	eng := New(1).SetMaxHeapBytes(1 << 26)
 	job := Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}
-	if err := execErr(eng, job); err != nil {
-		t.Fatal(err)
+	// The row's second run records its tape.
+	for range 2 {
+		if err := execErr(eng, job); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got, want := eng.ReservedBytes(), 1<<22+cachedTapeBytes(eng); eng.Tapes() != 1 || got != want {
 		t.Fatalf("expected 1 cached tape and %d reserved bytes, have %d tapes, %d bytes", want, eng.Tapes(), got)
@@ -140,6 +172,7 @@ func TestTapeCacheClears(t *testing.T) {
 		t.Errorf("cap change left %d reserved bytes", got)
 	}
 
+	// The row has run before, so one run re-records it.
 	if err := execErr(eng, job); err != nil {
 		t.Fatal(err)
 	}
@@ -153,5 +186,13 @@ func TestTapeCacheClears(t *testing.T) {
 	}
 	if got := eng.ReservedBytes(); got != 1<<22 {
 		t.Errorf("disabling the cache left %d reserved bytes, want the pooled shard's %d", got, 1<<22)
+	}
+	// Re-enabled, the row starts over: its next run drives.
+	eng.SetTapeCache(true)
+	if err := execErr(eng, job); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Tapes() != 0 {
+		t.Errorf("first run after re-enabling the cache recorded %d tapes, want 0", eng.Tapes())
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // testEng saturates the host: every figure regenerates through the
@@ -195,6 +197,25 @@ func TestTimingSmokeTest(t *testing.T) {
 	tb = Fig412(testEng).String()
 	if len(rows(tb)) != 8 {
 		t.Fatalf("Fig 4.12 must have 8 rows:\n%s", tb)
+	}
+}
+
+// TestTimingsDrive: every timed run drives its workload, so a timing
+// matrix on a tape-caching engine records and replays nothing, and the
+// engine's cache is back on afterwards.
+func TestTimingsDrive(t *testing.T) {
+	p := &obs.Progress{}
+	eng := engine.New(2).SetProgress(p)
+	spec, err := workload.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timings(eng, []workload.Spec{spec}, 1, "cg", "msa")
+	if s := p.Snapshot(); s.TapesRecorded != 0 || s.TapeReplays != 0 {
+		t.Errorf("timed runs recorded %d tapes and replayed %d, want 0 and 0", s.TapesRecorded, s.TapeReplays)
+	}
+	if !eng.TapeCache() {
+		t.Error("timings left the engine's tape cache off")
 	}
 }
 

@@ -93,23 +93,42 @@ func TestSweepResume(t *testing.T) {
 
 	// Without a store, the sweep's memory layer still computes each
 	// distinct cell once: the 104-cell grid has 40 distinct cells, and
-	// the progress counters partition every emitted cell.
+	// the progress counters partition every emitted cell. The 40 cells
+	// fall into 24 (workload, size) rows, and only the eight size-1 rows
+	// run more than once; the tape cache records a row on its second
+	// run, so each of those drives once, records on its second cell and
+	// replays its third, and the grid records 8 tapes and replays 8 at
+	// any worker count.
 	all, err := experiments.DemographicFigs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &obs.Progress{}
-	mem := &results.Resuming{Next: results.Local{Eng: engine.New(4), Obs: prog}, Obs: prog}
-	var memOut bytes.Buffer
-	if err := experiments.SweepProgress(results.Observed{Next: mem, Obs: prog}, all, &memOut, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s, c := mem.Stats(); s != 64 || c != 40 {
-		t.Fatalf("store-less grid: stored=%d computed=%d, want 64/40", s, c)
-	}
-	if p := prog.Snapshot(); p.CellsTotal != 104 || p.CellsStored != 64 || p.CellsComputed != 40 {
-		t.Fatalf("store-less grid progress: total=%d stored=%d computed=%d, want 104/64/40",
-			p.CellsTotal, p.CellsStored, p.CellsComputed)
+	var memOut string
+	for _, workers := range []int{1, 2, 4} {
+		prog := &obs.Progress{}
+		eng := engine.New(workers).SetProgress(prog)
+		mem := &results.Resuming{Next: results.Local{Eng: eng, Obs: prog}, Obs: prog}
+		var out bytes.Buffer
+		if err := experiments.SweepProgress(results.Observed{Next: mem, Obs: prog}, all, &out, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s, c := mem.Stats(); s != 64 || c != 40 {
+			t.Fatalf("store-less grid, workers %d: stored=%d computed=%d, want 64/40", workers, s, c)
+		}
+		p := prog.Snapshot()
+		if p.CellsTotal != 104 || p.CellsStored != 64 || p.CellsComputed != 40 {
+			t.Fatalf("store-less grid progress, workers %d: total=%d stored=%d computed=%d, want 104/64/40",
+				workers, p.CellsTotal, p.CellsStored, p.CellsComputed)
+		}
+		if p.TapesRecorded != 8 || p.TapeReplays != 8 {
+			t.Errorf("store-less grid, workers %d: %d tapes recorded, %d replayed; want 8 and 8",
+				workers, p.TapesRecorded, p.TapeReplays)
+		}
+		if memOut == "" {
+			memOut = out.String()
+		} else if out.String() != memOut {
+			t.Fatalf("store-less grid output at workers %d diverged from workers 1", workers)
+		}
 	}
 	// The store-backed grid over the trio's store computes only the 16
 	// cells the trio lacks and renders the same bytes.
@@ -121,7 +140,7 @@ func TestSweepResume(t *testing.T) {
 	if _, c := grid.Stats(); c != 16 {
 		t.Fatalf("store-backed grid computed %d cells, want 16", c)
 	}
-	if memOut.String() != gridOut.String() {
+	if memOut != gridOut.String() {
 		t.Fatal("store-less grid output diverged from the store-backed grid")
 	}
 }

@@ -34,7 +34,16 @@ func averagingReps(size int) int {
 // neighbours: absolute numbers still include scheduling contention, but
 // it cancels in the speedup columns. For paper-grade absolute timings
 // run -workers 1.
+//
+// Every timed run drives its workload. The engine's tape cache is off
+// for the matrix: a replayed run skips the driver and a recording run
+// pays the recorder on top of it, so with the cache on the figures
+// would time mostly replays, with one recording premium in one sample.
 func timings(eng *engine.Engine, specs []workload.Spec, size int, a, b string) (as, bs [][]time.Duration) {
+	if eng.TapeCache() {
+		eng.SetTapeCache(false)
+		defer eng.SetTapeCache(true)
+	}
 	reps := averagingReps(size)
 	jobs := make([]engine.Job, 0, 2*len(specs)*Repeats)
 	for _, s := range specs {

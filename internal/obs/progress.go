@@ -157,8 +157,8 @@ func (p *Progress) LaneDeduped(client string) {
 	}
 }
 
-// TapeRecorded counts one event tape captured by the engine (the first
-// cell of a (workload, size) row drove the workload and recorded it).
+// TapeRecorded counts one event tape captured by the engine (the second
+// run of a (workload, size) row drove the workload and recorded it).
 func (p *Progress) TapeRecorded() {
 	if p == nil {
 		return

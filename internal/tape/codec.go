@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/heap"
@@ -71,34 +72,43 @@ func Decode(b []byte) (*Tape, error) {
 	if sum := sha256.Sum256(body); [sha256.Size]byte(trailer) != sum {
 		return nil, errors.New("tape: integrity hash mismatch")
 	}
+	// A valid trailer proves integrity, not honesty: every count below
+	// is bounded by the bytes that remain before anything is sized from
+	// it, so a crafted tape yields an error, never a huge allocation.
 	r := reader{b: body, pos: len(magic)}
 	t := &Tape{}
 	t.Meta.Workload = r.str()
-	t.Meta.Size = int(r.uvarint())
-	t.Meta.Threads = int(r.uvarint())
-	t.Meta.HeapBytes = int(r.uvarint())
-	t.classes = make([]heap.Class, r.uvarint())
+	t.Meta.Size = r.int()
+	t.Meta.Threads = r.int()
+	t.Meta.HeapBytes = r.int()
+	t.classes = make([]heap.Class, r.count())
 	for i := range t.classes {
 		t.classes[i] = heap.Class{
 			Name:    r.str(),
-			Refs:    int(r.uvarint()),
-			Data:    int(r.uvarint()),
+			Refs:    r.int(),
+			Data:    r.int(),
 			IsArray: r.byte() != 0,
 		}
 	}
-	t.strings = make([]string, r.uvarint())
+	t.strings = make([]string, r.count())
 	for i := range t.strings {
 		t.strings[i] = r.str()
 	}
-	t.allocs = int(r.uvarint())
-	t.ops = r.bytes(int(r.uvarint()))
-	t.args = r.bytes(int(r.uvarint()))
+	allocs := r.uvarint()
+	t.ops = r.bytes(r.count())
+	t.args = r.bytes(r.count())
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("tape: %d trailing bytes", len(body)-r.pos)
 	}
+	// Each op produces at most one value; replayers size their handle
+	// table from allocs.
+	if allocs > uint64(len(t.ops)) {
+		return nil, fmt.Errorf("tape: %d allocations in %d ops", allocs, len(t.ops))
+	}
+	t.allocs = int(allocs)
 	for i, op := range t.ops {
 		if op >= numOps {
 			return nil, fmt.Errorf("tape: bad opcode %d at op %d", op, i)
@@ -154,6 +164,27 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// int reads a varint that must fit in an int.
+func (r *reader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail("integer overflows int")
+		return 0
+	}
+	return int(v)
+}
+
+// count reads an element count. Every element encodes to at least one
+// byte, so a count above the bytes that remain is a lie.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)-r.pos) {
+		r.fail("count exceeds the remaining bytes")
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) byte() byte {
 	if r.err != nil {
 		return 0
@@ -171,7 +202,7 @@ func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.pos+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.pos {
 		r.fail("truncated byte run")
 		return nil
 	}
@@ -180,4 +211,4 @@ func (r *reader) bytes(n int) []byte {
 	return s
 }
 
-func (r *reader) str() string { return string(r.bytes(int(r.uvarint()))) }
+func (r *reader) str() string { return string(r.bytes(r.count())) }
